@@ -7,6 +7,7 @@
 
 #include "blocks/registry.hpp"
 #include "support/strings.hpp"
+#include "vm/optimize.hpp"
 
 namespace cftcg::codegen {
 
@@ -216,19 +217,15 @@ class Lowerer {
     EmitCov(sm_.spec.OutcomeSlot(d, outcome));
   }
 
-  void EmitMargin(coverage::DecisionId d, int ge_outcome, int lt_outcome, int margin_dreg) {
-    if (opts_.record_margins) {
-      EmitOp(Op::kMargin, 0, margin_dreg, ge_outcome, d, lt_outcome);
-    }
-  }
-
-  /// Margin register for a comparison a-b (double domain).
-  int MarginReg(Slot a, Slot b) {
+  /// Margin recording for the comparison a-b (double domain). Nothing —
+  /// not even the subtraction — is emitted unless margins are on.
+  void EmitMargin(coverage::DecisionId d, int ge_outcome, int lt_outcome, Slot a, Slot b) {
+    if (!opts_.record_margins) return;
     const Slot da = ToDouble(a);
     const Slot db = ToDouble(b);
     const int m = NewD();
     EmitOp(Op::kSubD, m, da.reg, db.reg);
-    return m;
+    EmitOp(Op::kMargin, 0, m, ge_outcome, d, lt_outcome);
   }
 
   /// Memoized index of a block path in Program::block_names.
@@ -645,7 +642,7 @@ class Lowerer {
     }
     const coverage::DecisionId d = sm_.DecisionAt(&b, 0);
     const int cmp = Compare(a, c, is_min ? "le" : "ge");
-    EmitMargin(d, 0, 1, MarginReg(is_min ? c : a, is_min ? a : c));
+    EmitMargin(d, 0, 1, is_min ? c : a, is_min ? a : c);
     Slot out = NewSlot(t);
     const std::size_t jz = EmitJz(cmp);
     EmitDecisionOutcomeCov(d, 0);
@@ -731,8 +728,8 @@ class Lowerer {
     Slot out = NewSlot(t);
     Slot lo = out.is_float ? ConstD(lo_v) : ConstI(static_cast<std::int64_t>(lo_v), t);
     Slot hi = out.is_float ? ConstD(hi_v) : ConstI(static_cast<std::int64_t>(hi_v), t);
-    EmitMargin(d, 1, 0, MarginReg(u, lo));
-    EmitMargin(d, 2, 1, MarginReg(u, hi));
+    EmitMargin(d, 1, 0, u, lo);
+    EmitMargin(d, 2, 1, u, hi);
     const int below = NewI();
     EmitOp(out.is_float ? Op::kLtD : Op::kLtI, below, u.reg, lo.reg);
     const std::size_t jz1 = EmitJz(below);
@@ -764,8 +761,8 @@ class Lowerer {
     const Slot start = ConstD(b.params().GetDouble("start", -0.5));
     const Slot end = ConstD(b.params().GetDouble("end", 0.5));
     const coverage::DecisionId d = sm_.DecisionAt(&b, 0);
-    EmitMargin(d, 1, 0, MarginReg(u, start));
-    EmitMargin(d, 2, 1, MarginReg(u, end));
+    EmitMargin(d, 1, 0, u, start);
+    EmitMargin(d, 2, 1, u, end);
     const int out = NewD();
     const int below = NewI();
     EmitOp(Op::kLtD, below, u.reg, start.reg);
@@ -804,7 +801,7 @@ class Lowerer {
     EmitOp(Op::kSubD, delta, u.reg, prev);
     const Slot rise = ConstD(rising);
     const Slot fall = ConstD(falling);
-    EmitMargin(d, 0, 1, MarginReg(Slot{true, delta, DType::kDouble}, rise));
+    EmitMargin(d, 0, 1, Slot{true, delta, DType::kDouble}, rise);
     const int out = NewD();
     const int over = NewI();
     EmitOp(Op::kGtD, over, delta, rise.reg);
@@ -860,7 +857,7 @@ class Lowerer {
     }
     Patch(jend);
     EmitOp(Op::kStoreStateI, 0, on, 0, slot);
-    EmitMargin(d, 0, 1, MarginReg(u, on_pt));
+    EmitMargin(d, 0, 1, u, on_pt);
     const int out = NewD();
     const std::size_t jz2 = EmitJz(on);
     EmitEdge();
@@ -977,7 +974,7 @@ class Lowerer {
                     ? ConstD(thr)
                     : ConstI(static_cast<std::int64_t>(thr), ctrl.type);
       cond = Compare(ctrl, th, criteria);
-      EmitMargin(d, 0, 1, MarginReg(ctrl, th));
+      EmitMargin(d, 0, 1, ctrl, th);
     }
     Slot out = NewSlot(t);
     const std::size_t jz = EmitJz(cond);
@@ -1674,7 +1671,18 @@ class Lowerer {
 }  // namespace
 
 Result<vm::Program> LowerToBytecode(const sched::ScheduledModel& sm, const LoweringOptions& opts) {
+  auto program = Lowerer(sm, opts).Run();
+  if (program.ok()) vm::Optimize(program.value());
+  return program;
+}
+
+namespace internal {
+
+Result<vm::Program> LowerToRawBytecode(const sched::ScheduledModel& sm,
+                                       const LoweringOptions& opts) {
   return Lowerer(sm, opts).Run();
 }
+
+}  // namespace internal
 
 }  // namespace cftcg::codegen

@@ -15,6 +15,8 @@
 //     instrumentation would see. Used as the "Fuzz Only" feedback signal.
 //   * record_margins — numeric distance-to-flip recording (kMargin) used by
 //     the constraint-solving baseline's guided search; never on in fuzzing.
+//
+// Every program LowerToBytecode returns has been through vm::Optimize.
 #pragma once
 
 #include "sched/schedule.hpp"
@@ -29,6 +31,14 @@ struct LoweringOptions {
   bool record_margins = false;
 };
 
+/// Lowers and then runs the bytecode optimizer (vm/optimize.hpp).
 Result<vm::Program> LowerToBytecode(const sched::ScheduledModel& sm, const LoweringOptions& opts);
+
+namespace internal {
+/// The lowering's output before vm::Optimize — the reference the optimizer's
+/// differential test compares against. Not for production use.
+Result<vm::Program> LowerToRawBytecode(const sched::ScheduledModel& sm,
+                                       const LoweringOptions& opts);
+}  // namespace internal
 
 }  // namespace cftcg::codegen

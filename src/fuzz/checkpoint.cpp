@@ -306,7 +306,8 @@ Result<CampaignCheckpoint> ReadCheckpointFile(const std::string& path) {
 }
 
 Status ValidateCheckpoint(const CampaignCheckpoint& ckpt, const FuzzerOptions& options,
-                          std::uint32_t num_workers, std::uint64_t spec_fingerprint) {
+                          std::uint32_t num_workers, std::uint64_t spec_fingerprint,
+                          const vm::Program* instrumented, const vm::Program* fuzz_only) {
   if (ckpt.spec_fingerprint != spec_fingerprint) {
     return Status::Error("checkpoint was taken against a different model (fingerprint mismatch)");
   }
@@ -330,6 +331,29 @@ Status ValidateCheckpoint(const CampaignCheckpoint& ckpt, const FuzzerOptions& o
   }
   if (ckpt.workers.size() != ckpt.num_workers || ckpt.scanned.size() != ckpt.num_workers) {
     return Status::Error("corrupt checkpoint: worker table size mismatch");
+  }
+  const auto check_profile = [](const vm::ExecProfile& profile, const vm::Program* program,
+                                const char* which, std::size_t worker) {
+    if (program == nullptr) return Status::Ok();
+    const std::size_t want = program->code.size();
+    for (const auto* counts : {&profile.insn_counts, &profile.insn_samples}) {
+      if (!counts->empty() && counts->size() != want) {
+        return Status::Error("checkpoint was taken against a different model program: worker " +
+                             std::to_string(worker) + " " + which + " profile counts " +
+                             std::to_string(counts->size()) + " instruction(s), the program has " +
+                             std::to_string(want));
+      }
+    }
+    return Status::Ok();
+  };
+  for (std::size_t i = 0; i < ckpt.workers.size(); ++i) {
+    const FuzzerState& s = ckpt.workers[i];
+    if (Status st = check_profile(s.exec_profile, instrumented, "instrumented", i); !st.ok()) {
+      return st;
+    }
+    if (Status st = check_profile(s.fuzz_exec_profile, fuzz_only, "fuzz-only", i); !st.ok()) {
+      return st;
+    }
   }
   return Status::Ok();
 }

@@ -121,8 +121,15 @@ Status WriteCheckpointFile(const std::string& path, const CampaignCheckpoint& ck
 Result<CampaignCheckpoint> ReadCheckpointFile(const std::string& path);
 
 /// Validates checkpoint identity against the campaign about to resume.
+/// `instrumented` and `fuzz_only`, when given, are the programs the resumed
+/// workers will run. A worker's non-empty execution profile must then hold
+/// one counter per instruction of that program: a checkpoint written by a
+/// build that lowered the model differently would otherwise resume with its
+/// counts booked against the wrong instructions.
 Status ValidateCheckpoint(const CampaignCheckpoint& ckpt, const FuzzerOptions& options,
-                          std::uint32_t num_workers, std::uint64_t spec_fingerprint);
+                          std::uint32_t num_workers, std::uint64_t spec_fingerprint,
+                          const vm::Program* instrumented = nullptr,
+                          const vm::Program* fuzz_only = nullptr);
 
 /// Structural validation against the coverage universe the campaign will run
 /// in: bitmap word counts, MCDC table sizes, eval-size tables. A bit-flipped

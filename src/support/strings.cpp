@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cfloat>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -80,7 +82,12 @@ bool ParseDouble(std::string_view text, double& out) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  if (end != buf.c_str() + buf.size()) return false;
+  // strtod sets ERANGE on underflow as well as overflow. An underflowed
+  // result (subnormal, or zero) is still the correctly rounded value — and
+  // DoubleToString writes subnormals — so only overflow is an error.
+  if (errno == ERANGE && !(std::isfinite(v) && std::fabs(v) <= DBL_MIN)) return false;
+  if (errno != 0 && errno != ERANGE) return false;
   out = v;
   return true;
 }

@@ -18,6 +18,10 @@ Machine::Machine(const Program& program) : program_(&program) {
   out_i_.assign(program.output_types.size(), 0);
   state_d_.resize(program.state_d.size());
   state_i_.resize(program.state_i.size());
+  // Constant pool: written once here. No instruction writes these
+  // registers and Reset() leaves registers alone, so they hold for good.
+  for (const auto& c : program.const_d) dregs_[static_cast<std::size_t>(c.reg)] = c.value;
+  for (const auto& c : program.const_i) iregs_[static_cast<std::size_t>(c.reg)] = c.value;
   Reset();
 }
 
@@ -189,60 +193,51 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
       }
       case Op::kNotL: r[in.dst] = r[in.a] == 0; break;
 
-      case Op::kLtD: r[in.dst] = d[in.a] < d[in.b]; break;
-      case Op::kLeD: r[in.dst] = d[in.a] <= d[in.b]; break;
-      case Op::kGtD: r[in.dst] = d[in.a] > d[in.b]; break;
-      case Op::kGeD: r[in.dst] = d[in.a] >= d[in.b]; break;
+      // Compares. A fused form (made by vm::Optimize) then acts as the jz
+      // on its result — see `compared:` below.
+      case Op::kLtD: case Op::kLtDJz: r[in.dst] = d[in.a] < d[in.b]; goto compared;
+      case Op::kLeD: case Op::kLeDJz: r[in.dst] = d[in.a] <= d[in.b]; goto compared;
+      case Op::kGtD: case Op::kGtDJz: r[in.dst] = d[in.a] > d[in.b]; goto compared;
+      case Op::kGeD: case Op::kGeDJz: r[in.dst] = d[in.a] >= d[in.b]; goto compared;
       case Op::kEqD:
+      case Op::kEqDJz:
         r[in.dst] = d[in.a] == d[in.b];
         if (cmp_trace_ != nullptr && d[in.a] != d[in.b]) {
           cmp_trace_->RecordDouble(d[in.a], d[in.b]);
         }
-        break;
+        goto compared;
       case Op::kNeD:
+      case Op::kNeDJz:
         r[in.dst] = d[in.a] != d[in.b];
         if (cmp_trace_ != nullptr && d[in.a] != d[in.b]) {
           cmp_trace_->RecordDouble(d[in.a], d[in.b]);
         }
-        break;
-      case Op::kLtI: r[in.dst] = r[in.a] < r[in.b]; break;
-      case Op::kLeI: r[in.dst] = r[in.a] <= r[in.b]; break;
-      case Op::kGtI: r[in.dst] = r[in.a] > r[in.b]; break;
-      case Op::kGeI: r[in.dst] = r[in.a] >= r[in.b]; break;
+        goto compared;
+      case Op::kLtI: case Op::kLtIJz: r[in.dst] = r[in.a] < r[in.b]; goto compared;
+      case Op::kLeI: case Op::kLeIJz: r[in.dst] = r[in.a] <= r[in.b]; goto compared;
+      case Op::kGtI: case Op::kGtIJz: r[in.dst] = r[in.a] > r[in.b]; goto compared;
+      case Op::kGeI: case Op::kGeIJz: r[in.dst] = r[in.a] >= r[in.b]; goto compared;
       case Op::kEqI:
+      case Op::kEqIJz:
         r[in.dst] = r[in.a] == r[in.b];
         if (cmp_trace_ != nullptr && r[in.a] != r[in.b]) {
           cmp_trace_->RecordInt(r[in.a], r[in.b]);
         }
-        break;
+        goto compared;
       case Op::kNeI:
+      case Op::kNeIJz:
         r[in.dst] = r[in.a] != r[in.b];
         if (cmp_trace_ != nullptr && r[in.a] != r[in.b]) {
           cmp_trace_->RecordInt(r[in.a], r[in.b]);
         }
-        break;
+        goto compared;
 
-      case Op::kJmp: {
-        const auto target = static_cast<std::size_t>(in.imm);
-        if (target <= pc && --back_jumps == 0) return abort_hang();
-        pc = target;
-        continue;
-      }
+      case Op::kJmp: goto take_jump;
       case Op::kJmpIfZero:
-        if (r[in.a] == 0) {
-          const auto target = static_cast<std::size_t>(in.imm);
-          if (target <= pc && --back_jumps == 0) return abort_hang();
-          pc = target;
-          continue;
-        }
+        if (r[in.a] == 0) goto take_jump;
         break;
       case Op::kJmpIfNotZero:
-        if (r[in.a] != 0) {
-          const auto target = static_cast<std::size_t>(in.imm);
-          if (target <= pc && --back_jumps == 0) return abort_hang();
-          pc = target;
-          continue;
-        }
+        if (r[in.a] != 0) goto take_jump;
         break;
 
       case Op::kLoadInD: d[in.dst] = in_d_[static_cast<std::size_t>(in.imm)]; break;
@@ -269,8 +264,27 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
       case Op::kMargin:
         if (sink != nullptr) sink->RecordMargin(in.imm, in.b, in.aux, d[in.a]);
         break;
+      case Op::kCovSel:
+        if (sink != nullptr) sink->Hit(r[in.a] != 0 ? in.imm : in.aux);
+        break;
     }
     ++pc;
+    continue;
+  compared:
+    // A plain compare falls through. A fused one jumps when its result is
+    // zero, which keeps NaN operands on the jump path exactly as the
+    // unfused compare and jz do.
+    if (in.op < Op::kLtDJz || r[in.dst] != 0) {
+      ++pc;
+      continue;
+    }
+  take_jump: {
+    // Every taken jump lands here. Only backward transfers count against
+    // the budget, so the common straight-line path pays nothing.
+    const auto target = static_cast<std::size_t>(in.imm);
+    if (target <= pc && --back_jumps == 0) return abort_hang();
+    pc = target;
+  }
   }
 }
 

@@ -70,6 +70,18 @@ std::string_view OpName(Op op) {
     case Op::kJmp: return "jmp";
     case Op::kJmpIfZero: return "jz";
     case Op::kJmpIfNotZero: return "jnz";
+    case Op::kLtDJz: return "lt.d.jz";
+    case Op::kLeDJz: return "le.d.jz";
+    case Op::kGtDJz: return "gt.d.jz";
+    case Op::kGeDJz: return "ge.d.jz";
+    case Op::kEqDJz: return "eq.d.jz";
+    case Op::kNeDJz: return "ne.d.jz";
+    case Op::kLtIJz: return "lt.i.jz";
+    case Op::kLeIJz: return "le.i.jz";
+    case Op::kGtIJz: return "gt.i.jz";
+    case Op::kGeIJz: return "ge.i.jz";
+    case Op::kEqIJz: return "eq.i.jz";
+    case Op::kNeIJz: return "ne.i.jz";
     case Op::kLoadInD: return "ldin.d";
     case Op::kLoadInI: return "ldin.i";
     case Op::kStoreOutD: return "stout.d";
@@ -82,6 +94,7 @@ std::string_view OpName(Op op) {
     case Op::kEdge: return "edge";
     case Op::kMcdcEval: return "mcdc";
     case Op::kMargin: return "margin";
+    case Op::kCovSel: return "covsel";
   }
   return "?";
 }
@@ -92,6 +105,12 @@ std::string Disassemble(const Program& program) {
                    program.num_dregs, program.num_iregs, program.state_d.size(),
                    program.state_i.size(), program.input_types.size(),
                    program.output_types.size(), program.num_edges);
+  for (const auto& c : program.const_d) {
+    out += StrFormat("; pool d%d = %s\n", c.reg, DoubleToString(c.value).c_str());
+  }
+  for (const auto& c : program.const_i) {
+    out += StrFormat("; pool i%d = %lld\n", c.reg, static_cast<long long>(c.value));
+  }
   for (std::size_t pc = 0; pc < program.code.size(); ++pc) {
     const Insn& in = program.code[pc];
     out += StrFormat("%4zu  %-8s dst=%d a=%d b=%d imm=%d aux=%d dimm=%s type=%s\n", pc,

@@ -54,6 +54,13 @@ enum class Op : std::uint8_t {
   kJmp,           // pc = imm
   kJmpIfZero,     // if (!iregs[a]) pc = imm
   kJmpIfNotZero,  // if (iregs[a]) pc = imm
+  // Fused compare+branch (made by vm::Optimize from a compare and the jz
+  // that consumes it): iregs[dst] = a OP b; if (!iregs[dst]) pc = imm.
+  // eq/ne record into the CmpTrace exactly like the unfused compare. Same
+  // order as the plain compares, and after them: the Machine tells the two
+  // apart by `op >= kLtDJz`.
+  kLtDJz, kLeDJz, kGtDJz, kGeDJz, kEqDJz, kNeDJz,
+  kLtIJz, kLeIJz, kGtIJz, kGeIJz, kEqIJz, kNeIJz,
   // I/O and state.
   kLoadInD,     // dregs[dst] = in_d[imm]
   kLoadInI,     // iregs[dst] = in_i[imm]
@@ -68,6 +75,7 @@ enum class Op : std::uint8_t {
   kEdge,      // edge_map[imm] = 1                    [code-level]
   kMcdcEval,  // sink->RecordEval(imm, iregs[a], iregs[b], iregs[aux])
   kMargin,    // sink->RecordMargin(imm, b, aux, dregs[a])
+  kCovSel,    // sink->Hit(iregs[a] ? imm : aux)      [made by vm::Optimize]
 };
 
 struct Insn {
@@ -88,6 +96,14 @@ struct StateSlot {
   std::string name;        // "<block path>#<k>" for debugging
 };
 
+/// One constant-pool entry: a register that holds `value` for the whole life
+/// of a Machine (see vm::Optimize).
+template <typename T>
+struct PooledConst {
+  std::int32_t reg = 0;
+  T value{};
+};
+
 struct Program {
   std::vector<Insn> code;
   int num_dregs = 0;
@@ -97,6 +113,12 @@ struct Program {
   std::vector<ir::DType> input_types;   // tuple fields, root inport order
   std::vector<ir::DType> output_types;  // root outports
   int num_edges = 0;                    // code-level edge slots (kEdge)
+
+  // Constant pool: registers the Machine constructor writes once and no
+  // instruction writes again. Integer values are already wrapped to their
+  // type. Filled by vm::Optimize; empty for unoptimized programs.
+  std::vector<PooledConst<double>> const_d;
+  std::vector<PooledConst<std::int64_t>> const_i;
 
   // Block attribution (the self-profiler's VM plane): for every instruction,
   // the index into block_names of the model block whose lowering emitted it,

@@ -275,6 +275,37 @@ TEST(CheckpointTest, ValidateRejectsForeignCampaigns) {
   EXPECT_FALSE(ValidateCheckpoint(ckpt, other_seed, 1, fp).ok());
 }
 
+TEST(CheckpointTest, ValidateRejectsProfileOfAnotherProgram) {
+  auto cm = Compile(bench_models::BuildAfc());
+  FuzzerOptions options;
+  options.seed = 5;
+  Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
+  fuzzer.Begin(ExecBudget(200));
+  fuzzer.RunChunk(200);
+  CampaignCheckpoint ckpt = fuzzer.MakeCheckpoint();
+  const std::uint64_t fp = fuzzer.spec_fingerprint();
+  (void)fuzzer.Finish();
+  const vm::Program& program = cm->instrumented();
+  ASSERT_EQ(ckpt.workers[0].exec_profile.insn_counts.size(), program.code.size());
+  EXPECT_TRUE(ValidateCheckpoint(ckpt, options, 1, fp, &program).ok());
+
+  // The same campaign state, but its dispatch counters were taken over a
+  // program one instruction longer (an older lowering of the same model).
+  ckpt.workers[0].exec_profile.insn_counts.push_back(0);
+  ckpt.workers[0].exec_profile.insn_samples.push_back(0);
+  auto mismatch = ValidateCheckpoint(ckpt, options, 1, fp, &program);
+  ASSERT_FALSE(mismatch.ok());
+  EXPECT_NE(mismatch.message().find("different model program"), std::string::npos);
+  // Without the program, only the identity checks run.
+  EXPECT_TRUE(ValidateCheckpoint(ckpt, options, 1, fp).ok());
+
+  // A fuzz-only profile is checked against the fuzz-only program.
+  ckpt.workers[0].exec_profile.insn_counts.pop_back();
+  ckpt.workers[0].exec_profile.insn_samples.pop_back();
+  ckpt.workers[0].fuzz_exec_profile.insn_counts.assign(cm->fuzz_only().code.size() + 3, 0);
+  EXPECT_FALSE(ValidateCheckpoint(ckpt, options, 1, fp, &program, &cm->fuzz_only()).ok());
+}
+
 // -- Hang containment ------------------------------------------------------
 
 // A one-instruction program that jumps to itself: every input hangs.

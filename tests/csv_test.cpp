@@ -1,6 +1,7 @@
 // Binary test-case <-> CSV conversion (the paper's Simulink-import tool).
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstring>
 
 #include "fuzz/csv_export.hpp"
@@ -43,6 +44,16 @@ TEST(CsvTest, RoundTripAllTypes) {
   auto back = CsvToTestCase(layout, csv);
   ASSERT_TRUE(back.ok()) << back.message();
   EXPECT_EQ(back.value(), canonical.value());
+}
+
+TEST(CsvTest, RoundTripSubnormalDoubles) {
+  TupleLayout layout({DType::kDouble});
+  std::vector<std::uint8_t> data(2 * sizeof(double));
+  const double values[] = {DBL_MIN / 4, -DBL_TRUE_MIN};
+  std::memcpy(data.data(), values, sizeof values);
+  auto back = CsvToTestCase(layout, TestCaseToCsv(layout, {"x"}, data));
+  ASSERT_TRUE(back.ok()) << back.message();
+  EXPECT_EQ(back.value(), data);
 }
 
 TEST(CsvTest, ImportRejectsWrongColumnCount) {

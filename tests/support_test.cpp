@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -125,8 +126,18 @@ TEST(StringsTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("abc", v));
 }
 
+TEST(StringsTest, ParseDoubleAcceptsUnderflowRejectsOverflow) {
+  double v = 0;
+  EXPECT_TRUE(ParseDouble("1e-310", v));
+  EXPECT_EQ(v, 1e-310);
+  EXPECT_TRUE(ParseDouble("-4.9406564584124654e-324", v));
+  EXPECT_EQ(v, -DBL_TRUE_MIN);
+  EXPECT_FALSE(ParseDouble("1e400", v));
+  EXPECT_FALSE(ParseDouble("-1e400", v));
+}
+
 TEST(StringsTest, DoubleRoundTrip) {
-  for (double x : {0.1, 1.0 / 3.0, 1e-300, 12345.6789, -0.0}) {
+  for (double x : {0.1, 1.0 / 3.0, 1e-300, 12345.6789, -0.0, DBL_MIN / 4, -DBL_TRUE_MIN}) {
     double back = 0;
     ASSERT_TRUE(ParseDouble(DoubleToString(x), back));
     EXPECT_EQ(back, x);

@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -184,6 +185,18 @@ std::unique_ptr<CompiledModel> Load(const std::string& path) {
   return cm.take();
 }
 
+/// Creates `dir` and any missing parents. The path is taken literally (no
+/// shell in between), so spaces and metacharacters are just characters.
+/// Prints a diagnostic and returns false when the directory cannot be made.
+bool MakeDirs(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (!ec && std::filesystem::is_directory(dir, ec)) return true;
+  std::fprintf(stderr, "error: cannot create directory %s: %s\n", dir.c_str(),
+               ec ? ec.message().c_str() : "a file of that name exists");
+  return false;
+}
+
 int CmdInfo(const std::string& path) {
   auto cm = Load(path);
   if (!cm) return 1;
@@ -295,6 +308,8 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
   auto cm = Load(path);
   if (!cm) return 1;
   cli_phases.Add(obs::ProfilePhase::kLoad, phase_watch.Elapsed());
+  // Made up front: a campaign must not run only to lose its suite.
+  if (!outdir.empty() && !MakeDirs(outdir)) return 1;
 
   // --resume: the checkpoint carries the campaign configuration (seed, mode,
   // worker count, sync cadence, step budget); the command line only needs to
@@ -489,7 +504,9 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
     options.use_idc_energy = ckpt.use_idc_energy;
     options.max_tuples = static_cast<std::size_t>(ckpt.max_tuples);
     const std::uint64_t fp = fuzz::SpecFingerprint(cm->spec(), cm->instrumented());
-    if (Status v = fuzz::ValidateCheckpoint(ckpt, options, static_cast<std::uint32_t>(jobs), fp);
+    if (Status v = fuzz::ValidateCheckpoint(ckpt, options, static_cast<std::uint32_t>(jobs), fp,
+                                            &cm->instrumented(),
+                                            fuzz_only ? &cm->fuzz_only() : nullptr);
         !v.ok()) {
       std::fprintf(stderr, "error: %s\n", v.message().c_str());
       return 1;
@@ -623,7 +640,6 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
 
   phase_watch.Restart();
   if (!outdir.empty()) {
-    std::system(("mkdir -p " + outdir).c_str());
     fuzz::TupleLayout layout(cm->instrumented().input_types);
     std::vector<std::string> names;
     for (ir::BlockId id : cm->model().Inports()) names.push_back(cm->model().block(id).name());
@@ -1236,18 +1252,24 @@ int CmdCover(const std::string& path, const std::string& csv_dir,
   coverage::CoverageSink sink(cm->spec());
   const std::size_t tuple = cm->instrumented().TupleSize();
 
-  // Portable-enough directory listing via ls (the repo is POSIX-only).
-  const std::string list_cmd = "ls " + csv_dir + "/*.csv 2>/dev/null";
-  FILE* pipe = popen(list_cmd.c_str(), "r");
-  if (pipe == nullptr) {
-    std::fprintf(stderr, "error: cannot list %s\n", csv_dir.c_str());
+  // Every *.csv file in the directory, in name order. An entry whose type
+  // cannot be read (a dangling link) is skipped, not an error.
+  std::vector<std::filesystem::path> files;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(csv_dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    std::error_code type_ec;
+    if (it->path().extension() == ".csv" && it->is_regular_file(type_ec)) {
+      files.push_back(it->path());
+    }
+  }
+  if (ec) {
+    std::fprintf(stderr, "error: cannot list %s: %s\n", csv_dir.c_str(), ec.message().c_str());
     return 1;
   }
-  char line[4096];
-  int files = 0;
-  while (std::fgets(line, sizeof line, pipe) != nullptr) {
-    std::string file(line);
-    while (!file.empty() && (file.back() == '\n' || file.back() == '\r')) file.pop_back();
+  std::sort(files.begin(), files.end());
+  int replayed = 0;
+  for (const auto& file : files) {
     std::ifstream in(file);
     if (!in) continue;
     std::string csv((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
@@ -1263,10 +1285,9 @@ int CmdCover(const std::string& path, const std::string& csv_dir,
       machine.Step(&sink);
       sink.AccumulateIteration();
     }
-    ++files;
+    ++replayed;
   }
-  pclose(pipe);
-  std::printf("replayed %d test cases\n", files);
+  std::printf("replayed %d test cases\n", replayed);
   std::printf("suite coverage: %s\n",
               coverage::FormatReport(coverage::ComputeReport(sink)).c_str());
   const auto uncovered = coverage::UncoveredOutcomes(cm->spec(), sink.total());
@@ -1320,7 +1341,7 @@ int CmdRun(const std::string& path, const std::string& csv_path) {
 }
 
 int CmdExportBenchmarks(const std::string& dir) {
-  std::system(("mkdir -p " + dir).c_str());
+  if (!MakeDirs(dir)) return 1;
   for (const auto& info : bench_models::Roster()) {
     auto model = bench_models::Build(info.name);
     if (!model.ok()) {
